@@ -256,3 +256,38 @@ func TestOptimizeEndToEnd(t *testing.T) {
 		t.Fatal("NaN WNS")
 	}
 }
+
+// TestReconnectWithoutLCBs: a valid design whose flip-flops are clocked
+// straight from the root has nothing to reconnect to. Reconnect must still
+// clear the predictive latencies, then report every target as attempted
+// and none reconnected, instead of indexing an empty LCB list.
+func TestReconnectWithoutLCBs(t *testing.T) {
+	lib := netlist.StdLib()
+	d := netlist.NewDesign("rootclocked", 300)
+	d.Die = geom.RectOf(geom.Pt(-1000, -1000), geom.Pt(1000, 1000))
+	root := d.AddCell("root", lib.Get("CLKROOT"), geom.Pt(0, 0))
+	ff0 := d.AddCell("ff0", lib.Get("DFF"), geom.Pt(100, 0))
+	ff1 := d.AddCell("ff1", lib.Get("DFF"), geom.Pt(200, 0))
+	g := d.AddCell("g", lib.Get("INV"), geom.Pt(150, 0))
+	d.Connect("q0", d.FFQ(ff0), d.Cells[g].Pins[0])
+	d.Connect("d1", d.OutPin(g), d.FFData(ff1))
+	cr := d.Connect("cr", d.OutPin(root), d.FFClock(ff0), d.FFClock(ff1))
+	d.Nets[cr].IsClock = true
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	tm := newTimer(t, d)
+	tm.SetExtraLatency(ff1, 7)
+	tm.Update()
+
+	res := Reconnect(tm, map[netlist.CellID]float64{ff1: 5}, ReconnectOptions{})
+	if res.Attempted != 1 || res.Reconnected != 0 || res.Reverted != 0 {
+		t.Fatalf("attempted/reconnected/reverted = %d/%d/%d, want 1/0/0", res.Attempted, res.Reconnected, res.Reverted)
+	}
+	if tm.ExtraLatency(ff1) != 0 {
+		t.Errorf("predictive latency %v left on ff1", tm.ExtraLatency(ff1))
+	}
+	if want := 5.0; math.Abs(res.ResidualAbs-want) > 1e-9 {
+		t.Errorf("ResidualAbs = %v, want the unrealized target %v", res.ResidualAbs, want)
+	}
+}

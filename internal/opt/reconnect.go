@@ -108,6 +108,12 @@ func Reconnect(tm *timing.Timer, targets map[netlist.CellID]float64, o Reconnect
 
 	for _, ff := range order {
 		res.Attempted++
+		if len(d.LCBs) == 0 {
+			// Flip-flops clocked straight from the root: nothing to
+			// reconnect to.
+			res.ResidualAbs += math.Abs(tm.BaseLatency(ff) - desired[ff])
+			continue
+		}
 		target := targets[ff]
 		ck := d.FFClock(ff)
 		cur := d.LCBofFF(ff)
@@ -215,7 +221,7 @@ func predictReconnect(tm *timing.Timer, ff, from, to netlist.CellID) (newLat, im
 		toBase = tm.BaseLatency(sff) - m.SinkWireDelay(d, toOutNet, s)
 	} else {
 		// Empty LCB: derive from the clock root side.
-		toBase = lcbOutArrival(tm, to)
+		toBase = tm.LCBOutArrival(to)
 	}
 
 	dist := d.Cells[ff].Pos.Manhattan(d.Cells[to].Pos)
@@ -237,27 +243,4 @@ func predictReconnect(tm *timing.Timer, ff, from, to netlist.CellID) (newLat, im
 		impact += d.Cells[from].Type.DriveRes * removedLoad
 	}
 	return newLat, impact
-}
-
-// lcbOutArrival computes the clock arrival at an LCB's output from the root
-// side, for LCBs that currently drive nothing. It mirrors the timer's
-// CTS-balanced root→LCB model.
-func lcbOutArrival(tm *timing.Timer, lcb netlist.CellID) float64 {
-	d := tm.D
-	m := tm.M
-	rootOut := d.OutPin(d.ClockRoot)
-	rootNet := d.Pins[rootOut].Net
-	rootDelay := m.CellDelay(d.Cells[d.ClockRoot].Type, m.NetLoad(d, rootNet))
-	balanced := 0.0
-	for _, s := range d.Nets[rootNet].Sinks {
-		if w := m.SinkWireDelay(d, rootNet, s); w > balanced {
-			balanced = w
-		}
-	}
-	outNet := d.Pins[d.LCBOut(lcb)].Net
-	var load float64
-	if outNet != netlist.NoNet {
-		load = m.NetLoad(d, outNet)
-	}
-	return rootDelay + balanced + m.CellDelay(d.Cells[lcb].Type, load)
 }

@@ -34,7 +34,7 @@ type Corner struct {
 // The join leans on two invariants of the State design:
 //
 //  1. Latencies are corner-invariant. The clock network is never derated
-//     (recomputeClock), so base latencies agree across corners, and
+//     (refreshClock), so base latencies agree across corners, and
 //     AddExtraLatency fans out to every state, so extra latencies do too.
 //     One latency assignment therefore means the same thing in every
 //     corner.

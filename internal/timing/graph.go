@@ -56,6 +56,10 @@ type Graph struct {
 	snapNetLoad            []float64
 	snapNetDirty           []bool
 	snapStats              Counters
+
+	// epoch counts Recompile calls; a State whose caches were built at an
+	// older epoch drops them (see State.syncEpoch).
+	epoch uint64
 }
 
 // Compile builds the immutable timing graph of d under model m: pin
@@ -256,6 +260,7 @@ func (t *State) restoreSnapshot() {
 	copy(t.netLoad, g.snapNetLoad)
 	copy(t.netDirty, g.snapNetDirty)
 	t.Stats = g.snapStats
+	t.slkValid, t.clkRootOK = false, false
 }
 
 // Reset returns the state to the pristine post-compile analysis: zero extra
@@ -299,6 +304,7 @@ func (t *State) SetPeriod(p float64) {
 		return
 	}
 	t.period = p
+	t.slkValid = false
 	for i := range t.endpoints {
 		if pin := t.endpoints[i].Pin; t.inData[pin] {
 			t.seedBwd(pin)

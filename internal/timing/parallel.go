@@ -50,8 +50,9 @@ func (t *Timer) FullUpdateParallel(workers int) {
 	for i := range t.netDirty {
 		t.netDirty[i] = true
 	}
-	t.recomputeClock()
+	t.refreshClock(nil, true, clockEps)
 	t.clearDirty()
+	t.slkValid = false
 
 	// Refresh every net load serially: the workers then only read.
 	t.refreshNetLoads()

@@ -61,6 +61,7 @@ func (g *Graph) Recompile(delta Delta) (RecompileStats, error) {
 	if len(delta.Cells) == 0 && len(delta.Nets) == 0 && len(delta.Pins) == 0 && !delta.PortTiming {
 		return st, nil
 	}
+	g.epoch++
 
 	// Shape changes can't be patched: the slab lengths are load-bearing.
 	if np != len(g.inData) || len(d.Cells) != len(g.endpointOf) ||
@@ -206,7 +207,7 @@ func (g *Graph) Recompile(delta Delta) (RecompileStats, error) {
 	for _, n := range nets {
 		s.netDirty[n] = true
 	}
-	g.refreshClockExact(s)
+	s.refreshClock(nets, false, clockExact)
 	for _, p := range delta.Pins {
 		// A flip-flop clock pin detached from its branch loses its base
 		// latency entirely (a fresh Compile would leave it at zero).
@@ -266,6 +267,7 @@ func (g *Graph) recompileFull(st *RecompileStats) (RecompileStats, error) {
 	if err != nil {
 		return *st, err
 	}
+	ng.epoch = g.epoch
 	*g = *ng
 	return *st, nil
 }
@@ -429,57 +431,6 @@ func (g *Graph) relevelize(seedPins []netlist.PinID) (ok, changed bool) {
 		}
 	}
 	return true, changed
-}
-
-// refreshClockExact recomputes the clock network like recomputeClock but
-// flags flip-flops on bitwise latency change (via markFFDirty) instead of
-// the eps cutoff, so the refreshed base latencies reproduce a from-scratch
-// bootstrap exactly. The sub-eps snap-to-zero mirrors what a fresh Compile's
-// eps update over zeroed latencies would leave behind.
-func (g *Graph) refreshClockExact(s *State) {
-	d := g.D
-	if d.ClockRoot == netlist.NoCell {
-		return
-	}
-	rootOut := d.OutPin(d.ClockRoot)
-	rootNet := d.Pins[rootOut].Net
-	if rootNet == netlist.NoNet {
-		return
-	}
-	rootDelay := g.M.CellDelay(d.Cells[d.ClockRoot].Type, g.M.NetLoad(d, rootNet))
-	balanced := 0.0
-	for _, sk := range d.Nets[rootNet].Sinks {
-		if w := g.M.SinkWireDelay(d, rootNet, sk); w > balanced {
-			balanced = w
-		}
-	}
-	for _, lcb := range d.LCBs {
-		in := d.LCBIn(lcb)
-		if d.Pins[in].Net != rootNet {
-			continue
-		}
-		atIn := rootDelay + balanced
-		outNet := d.Pins[d.LCBOut(lcb)].Net
-		if outNet == netlist.NoNet {
-			continue
-		}
-		atOut := atIn + g.M.CellDelay(d.Cells[lcb].Type, g.M.NetLoad(d, outNet))
-		for _, ck := range d.Nets[outNet].Sinks {
-			ff := d.Pins[ck].Cell
-			fi := g.ffIdx[ff]
-			if fi < 0 {
-				continue
-			}
-			lat := atOut + g.M.SinkWireDelay(d, outNet, ck)
-			if math.Abs(lat) <= eps {
-				lat = 0
-			}
-			if math.Float64bits(lat) != math.Float64bits(s.baseLat[fi]) {
-				s.baseLat[fi] = lat
-				s.markFFDirty(ff, fi)
-			}
-		}
-	}
 }
 
 // drainExactForward drains the forward worklist like runForward but

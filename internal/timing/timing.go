@@ -69,6 +69,9 @@ type Counters struct {
 	IncrementalSeeds  int64
 	ExtractedEdges    int64 // sequential edges returned by extraction calls
 	ExtractArcVisits  int64 // timing-graph arcs touched during extraction
+	// Update- and query-driven work only (zero in the compile snapshot):
+	ClockSinkEvals int64 // FF clock sinks re-evaluated by Update's clock refresh
+	SlackEvals     int64 // endpoint slack pairs derived for WNSTNS/ViolatedEndpoints and their cache
 }
 
 const eps = 1e-9
@@ -109,7 +112,21 @@ type State struct {
 	cellDirtyMark []bool // indexed by cell
 	netSeen       []bool // structural-update net dedup scratch
 	netSeenList   []netlist.NetID
-	clkChanged    []netlist.CellID // recomputeClock result scratch
+
+	// Clock-refresh cache (clock.go): the root arrival at every LCB input as
+	// of the last evaluation; invalid (clkRootOK false) after a snapshot
+	// restore or a Recompile, which forces a whole-network refresh.
+	clkRoot   float64
+	clkRootOK bool
+
+	// Per-endpoint slack cache (see WNSTNS): late and early slack per
+	// endpoint, kept current by Update from the endpoint pins its drains
+	// visit. slkValid false means a lazy rebuild at the next query; epoch is
+	// the Graph.epoch the caches were built against.
+	slkLate, slkEarly []float64
+	slkLive           []float64 // live-scan scratch while an edit is queued
+	slkValid          bool
+	epoch             uint64
 
 	fwdBuckets [][]netlist.PinID
 	bwdBuckets [][]netlist.PinID
@@ -309,57 +326,6 @@ func (t *Timer) clearDirty() {
 	t.dirtyCellList = t.dirtyCellList[:0]
 }
 
-// recomputeClock evaluates the physical clock network and returns the FFs
-// whose base latency changed.
-func (t *Timer) recomputeClock() []netlist.CellID {
-	d := t.D
-	changed := t.clkChanged[:0]
-	if d.ClockRoot == netlist.NoCell {
-		return nil
-	}
-	rootOut := d.OutPin(d.ClockRoot)
-	rootNet := d.Pins[rootOut].Net
-	if rootNet == netlist.NoNet {
-		return nil
-	}
-	rootDelay := t.M.CellDelay(d.Cells[d.ClockRoot].Type, t.M.NetLoad(d, rootNet))
-	// The root→LCB level is CTS-balanced: every LCB input sees the arrival
-	// of the farthest branch (an idealized H-tree), so LCB-input skew is
-	// zero and all useful skew comes from LCB loads and output branches.
-	balanced := 0.0
-	for _, s := range d.Nets[rootNet].Sinks {
-		if w := t.M.SinkWireDelay(d, rootNet, s); w > balanced {
-			balanced = w
-		}
-	}
-	for _, lcb := range d.LCBs {
-		in := d.LCBIn(lcb)
-		if d.Pins[in].Net != rootNet {
-			continue
-		}
-		atIn := rootDelay + balanced
-		outNet := d.Pins[d.LCBOut(lcb)].Net
-		if outNet == netlist.NoNet {
-			continue
-		}
-		atOut := atIn + t.M.CellDelay(d.Cells[lcb].Type, t.M.NetLoad(d, outNet))
-		for _, ck := range d.Nets[outNet].Sinks {
-			ff := d.Pins[ck].Cell
-			fi := t.ffIdx[ff]
-			if fi < 0 {
-				continue
-			}
-			lat := atOut + t.M.SinkWireDelay(d, outNet, ck)
-			if math.Abs(lat-t.baseLat[fi]) > eps {
-				t.baseLat[fi] = lat
-				changed = append(changed, ff)
-			}
-		}
-	}
-	t.clkChanged = changed[:0]
-	return changed
-}
-
 // FullUpdate recomputes the clock network, all net loads, and all arrival
 // and required times from scratch.
 func (t *Timer) FullUpdate() {
@@ -369,8 +335,9 @@ func (t *Timer) FullUpdate() {
 	for i := range t.netDirty {
 		t.netDirty[i] = true
 	}
-	t.recomputeClock()
+	t.refreshClock(nil, true, clockEps)
 	t.clearDirty()
+	t.slkValid = false
 
 	for i := range t.atMax {
 		t.atMax[i] = math.Inf(-1)
@@ -524,6 +491,7 @@ func (t *Timer) Update() int {
 		t.rec.Add(obs.CtrTimerDirtyFFs, int64(len(t.dirtyFFList)))
 		t.rec.Add(obs.CtrTimerDirtyCells, int64(len(t.dirtyCellList)))
 	}
+	t.syncEpoch()
 	if len(t.dirtyCellList) > 0 {
 		// Structural/positional change: refresh loads of incident nets and
 		// the clock network, then seed affected data pins.
@@ -541,9 +509,7 @@ func (t *Timer) Update() int {
 		for _, n := range t.netSeenList {
 			t.netDirty[n] = true
 		}
-		for _, ff := range t.recomputeClock() {
-			t.markFFDirty(ff, t.ffIdx[ff])
-		}
+		t.Stats.ClockSinkEvals += int64(t.refreshClock(t.netSeenList, false, clockEps))
 		for _, n := range t.netSeenList {
 			t.netSeen[n] = false
 			if t.D.Nets[n].IsClock {
@@ -647,7 +613,10 @@ func (t *Timer) runForward() (int, int) {
 	visited, levels := 0, 0
 	for lvl := int32(0); lvl <= t.maxLvl; lvl++ {
 		if t.stopRequested() {
-			break // remaining buckets stay queued; a later Update drains them
+			// Remaining buckets stay queued for a later Update; the slack
+			// cache cannot see their endpoints until then.
+			t.slkValid = false
+			break
 		}
 		bucket := t.fwdBuckets[lvl]
 		t.fwdBuckets[lvl] = bucket[:0]
@@ -666,6 +635,7 @@ func (t *Timer) runForward() (int, int) {
 				t.inFwd[p] = false
 				visited++
 				t.Stats.ForwardPinVisits++
+				t.refreshSlack(p)
 				if changed[i] {
 					for _, a := range t.fanoutArcs(p) {
 						t.seedFwd(a.To)
@@ -678,7 +648,9 @@ func (t *Timer) runForward() (int, int) {
 			t.inFwd[p] = false
 			visited++
 			t.Stats.ForwardPinVisits++
-			if t.evalArrival(p) {
+			changed := t.evalArrival(p)
+			t.refreshSlack(p)
+			if changed {
 				for _, a := range t.fanoutArcs(p) {
 					t.seedFwd(a.To)
 				}
@@ -692,7 +664,10 @@ func (t *Timer) runBackward() (int, int) {
 	visited, levels := 0, 0
 	for lvl := t.maxLvl; lvl >= 0; lvl-- {
 		if t.stopRequested() {
-			break // remaining buckets stay queued; a later Update drains them
+			// Remaining buckets stay queued for a later Update; the slack
+			// cache cannot see their endpoints until then.
+			t.slkValid = false
+			break
 		}
 		bucket := t.bwdBuckets[lvl]
 		t.bwdBuckets[lvl] = bucket[:0]
@@ -711,6 +686,7 @@ func (t *Timer) runBackward() (int, int) {
 				t.inBwd[p] = false
 				visited++
 				t.Stats.BackwardPinVisits++
+				t.refreshSlack(p)
 				if changed[i] {
 					for _, a := range t.faninArcs(p) {
 						t.seedBwd(a.To)
@@ -723,7 +699,9 @@ func (t *Timer) runBackward() (int, int) {
 			t.inBwd[p] = false
 			visited++
 			t.Stats.BackwardPinVisits++
-			if t.evalRequired(p) {
+			changed := t.evalRequired(p)
+			t.refreshSlack(p)
+			if changed {
 				for _, a := range t.faninArcs(p) {
 					t.seedBwd(a.To)
 				}
@@ -787,9 +765,13 @@ func (t *Timer) LaunchEarlySlack(ff netlist.CellID) float64 {
 // WNSTNS returns the worst and total negative slack over all endpoints in
 // the given mode. TNS sums one worst violation per endpoint, matching the
 // ICCAD-2015 evaluator.
+//
+// It reads the per-endpoint slack cache, which Update keeps current, so a
+// query after a localized edit costs one pass over a flat array instead of
+// re-deriving every endpoint's slack. While an edit is queued (a dirty FF or
+// cell) it scans the live slacks instead; the two are bitwise identical.
 func (t *Timer) WNSTNS(m Mode) (wns, tns float64) {
-	for e := range t.endpoints {
-		s := t.Slack(EndpointID(e), m)
+	for _, s := range t.slacks(m) {
 		if s < 0 {
 			tns += s
 			if s < wns {
@@ -801,14 +783,82 @@ func (t *Timer) WNSTNS(m Mode) (wns, tns float64) {
 }
 
 // ViolatedEndpoints appends to dst the endpoints with negative slack in the
-// given mode, and returns the extended slice.
+// given mode, and returns the extended slice. Like WNSTNS it reads the slack
+// cache when no edit is queued.
 func (t *Timer) ViolatedEndpoints(m Mode, dst []EndpointID) []EndpointID {
-	for e := range t.endpoints {
-		if t.Slack(EndpointID(e), m) < -eps {
+	for e, s := range t.slacks(m) {
+		if s < -eps {
 			dst = append(dst, EndpointID(e))
 		}
 	}
 	return dst
+}
+
+// The slack cache holds exactly LateSlack/EarlySlack of every endpoint. An
+// endpoint's slack reads its pin's arrivals and its required time (latency,
+// period); between queries those move only inside Update, whose drains
+// visit every endpoint pin whose arrival or required time it recomputes —
+// so refreshing the visited endpoints keeps the cache exact. Everything
+// else that moves them marks it invalid for a lazy rebuild: FullUpdate and
+// FullUpdateParallel, restoreSnapshot (NewState, Reset), SetPeriod,
+// SetDerates, Graph.Recompile (via the graph epoch), and an Update aborted
+// by the SetCheck hook, which leaves seeds queued.
+
+// slacks returns every endpoint's slack in mode m, in endpoint order: the
+// cache (rebuilt first if invalid), or — while an edit is queued, when only
+// the live values are current — a live scan into scratch.
+func (t *State) slacks(m Mode) []float64 {
+	n := len(t.endpoints)
+	if len(t.dirtyFFList) > 0 || len(t.dirtyCellList) > 0 {
+		if len(t.slkLive) != n {
+			t.slkLive = make([]float64, n)
+		}
+		for e := range t.slkLive {
+			t.slkLive[e] = t.Slack(EndpointID(e), m)
+		}
+		t.Stats.SlackEvals += int64(n)
+		return t.slkLive
+	}
+	t.syncEpoch()
+	if !t.slkValid {
+		if len(t.slkLate) != n {
+			buf := make([]float64, 2*n)
+			t.slkLate, t.slkEarly = buf[:n:n], buf[n:]
+		}
+		for e := range t.endpoints {
+			t.slkLate[e], t.slkEarly[e] = t.LateSlack(EndpointID(e)), t.EarlySlack(EndpointID(e))
+		}
+		t.Stats.SlackEvals += int64(n)
+		t.slkValid = true
+	}
+	if m == Early {
+		return t.slkEarly
+	}
+	return t.slkLate
+}
+
+// syncEpoch drops both caches when the graph was recompiled since they were
+// built.
+func (t *State) syncEpoch() {
+	if t.epoch != t.Graph.epoch {
+		t.epoch = t.Graph.epoch
+		t.slkValid, t.clkRootOK = false, false
+	}
+}
+
+// refreshSlack re-derives the cached slacks of p's endpoint, if p is an
+// endpoint pin; the drains call it on every pin whose arrival or required
+// time they just recomputed.
+func (t *State) refreshSlack(p netlist.PinID) {
+	if !t.slkValid || t.fwdOff[p+1] != t.fwdOff[p] {
+		return // endpoint pins (FF D, output port) have no data fanout
+	}
+	e := t.endpointOf[t.D.Pins[p].Cell]
+	if e == NoEndpoint || t.endpoints[e].Pin != p {
+		return
+	}
+	t.slkLate[e], t.slkEarly[e] = t.LateSlack(e), t.EarlySlack(e)
+	t.Stats.SlackEvals++
 }
 
 // ArrivalMax and ArrivalMin expose raw arrivals for white-box tests.

@@ -30,17 +30,22 @@ func allocTimer(t *testing.T) *timing.Timer {
 }
 
 // TestUpdateZeroExtraAllocsWithRecorder measures steady-state Update allocs
-// without a recorder and with a live metrics-only recorder; the counts must
-// match (the hooks are atomic adds plus a histogram observe).
+// — plus the WNSTNS and ViolatedEndpoints queries that follow every trial,
+// which maintain and read the slack cache — without a recorder and with a
+// live metrics-only recorder; the counts must match (the hooks are atomic
+// adds plus a histogram observe), and both must be zero.
 func TestUpdateZeroExtraAllocsWithRecorder(t *testing.T) {
 	tm := allocTimer(t)
 	ffs := tm.D.FFs
 	i := 0
+	var viol []timing.EndpointID
 	step := func() {
 		for j := i % 5; j < len(ffs); j += 5 {
 			tm.SetExtraLatency(ffs[j], float64((i+j)%23))
 		}
 		tm.Update()
+		tm.WNSTNS(timing.Late)
+		viol = tm.ViolatedEndpoints(timing.Early, viol[:0])
 		i++
 	}
 	for k := 0; k < 10; k++ {

@@ -1,12 +1,16 @@
 package iterskew_test
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"iterskew"
 	"iterskew/internal/core"
 	"iterskew/internal/delay"
+	"iterskew/internal/geom"
 	"iterskew/internal/iccss"
 	"iterskew/internal/netlist"
 	"iterskew/internal/timing"
@@ -147,8 +151,17 @@ func TestBatchExtractionEquivalence(t *testing.T) {
 
 // TestParallelIncrementalUpdateEquivalence verifies that the worker-pool
 // incremental Update visits the same pins and produces bit-identical slacks
-// as the serial path, across seeds and repeated perturbation waves.
+// as the serial path, across seeds and repeated perturbation waves — and,
+// at widths 1 and 4, that the slack cache and the per-LCB clock refresh
+// stay exact through random edit/invalidation sequences.
 func TestParallelIncrementalUpdateEquivalence(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("caches/workers=%d", workers), func(t *testing.T) {
+			for _, seed := range equivSeeds[:2] {
+				incrementalCacheSequence(t, seed, workers)
+			}
+		})
+	}
 	for _, seed := range equivSeeds {
 		d := equivDesign(t, 0.01, seed)
 		serial, err := timing.New(d, delay.Default())
@@ -240,5 +253,146 @@ func TestScheduleWorkersEquivalence(t *testing.T) {
 			}
 			sameTargets("iccss", i1.Target, i8.Target)
 		}
+	}
+}
+
+// requireSlackCacheLive checks the timer's cached WNSTNS and
+// ViolatedEndpoints against a live per-endpoint scan, bit for bit.
+func requireSlackCacheLive(t *testing.T, tm *timing.State, step string) {
+	t.Helper()
+	for _, m := range []timing.Mode{timing.Late, timing.Early} {
+		var lw, lt float64
+		var lv []timing.EndpointID
+		for e := range tm.Endpoints() {
+			s := tm.Slack(timing.EndpointID(e), m)
+			if s < 0 {
+				lt += s
+				lw = math.Min(lw, s)
+			}
+			if s < -1e-9 {
+				lv = append(lv, timing.EndpointID(e))
+			}
+		}
+		w, tns := tm.WNSTNS(m)
+		if math.Float64bits(w) != math.Float64bits(lw) || math.Float64bits(tns) != math.Float64bits(lt) {
+			t.Fatalf("%s: %v WNS/TNS %v/%v, live scan %v/%v", step, m, w, tns, lw, lt)
+		}
+		if v := tm.ViolatedEndpoints(m, nil); !slices.Equal(v, lv) {
+			t.Fatalf("%s: %v violated endpoints %d, live scan %d (or order differs)", step, m, len(v), len(lv))
+		}
+	}
+}
+
+// incrementalCacheSequence drives one state through a seeded random mix of
+// every edit and invalidation the timer's incremental caches must survive —
+// comb-cell moves, LCB–FF reconnections, latency changes, SetPeriod,
+// SetDerates, Reset, Graph.Recompile, and an Update aborted by the SetCheck
+// hook then resumed — checking after every step that the slack cache
+// matches the live scan and that the incrementally refreshed clock matches
+// a whole-network re-evaluation (a twin state that runs FullUpdate, which
+// always re-evaluates every LCB, after each step).
+func incrementalCacheSequence(t *testing.T, seed int64, workers int) {
+	d := equivDesign(t, 0.01, seed)
+	g, err := timing.Compile(d, delay.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, ref := g.NewState(), g.NewState()
+	tm.SetWorkers(workers)
+	rng := rand.New(rand.NewSource(seed + 7))
+
+	var combs []netlist.CellID
+	for c := range d.Cells {
+		if d.Cells[c].Type.Kind == netlist.KindComb && !d.Cells[c].Fixed {
+			combs = append(combs, netlist.CellID(c))
+		}
+	}
+	var lcbs []netlist.CellID
+	for _, l := range d.LCBs {
+		if d.Pins[d.LCBOut(l)].Net != netlist.NoNet {
+			lcbs = append(lcbs, l)
+		}
+	}
+	var delta timing.Delta // design edits since the last Recompile
+	recompile := func() {
+		if _, err := g.Recompile(delta); err != nil {
+			t.Fatal(err)
+		}
+		delta = timing.Delta{}
+	}
+	settled := func(step string) {
+		t.Helper()
+		requireSlackCacheLive(t, tm, step)
+		ref.FullUpdate()
+		for _, ff := range d.FFs {
+			if a, b := tm.BaseLatency(ff), ref.BaseLatency(ff); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("%s: ff %d base latency %v, whole-network refresh %v", step, ff, a, b)
+			}
+		}
+	}
+
+	tm.WNSTNS(timing.Late) // build the cache
+	for step := 0; step < 80; step++ {
+		name := fmt.Sprintf("seed %d workers %d step %d", seed, workers, step)
+		switch rng.Intn(10) {
+		case 0, 1: // comb-cell move
+			c := combs[rng.Intn(len(combs))]
+			pos := d.Cells[c].Pos
+			off := geom.Pt((rng.Float64()-0.5)*d.MaxDisp, (rng.Float64()-0.5)*d.MaxDisp)
+			if d.MoveCell(c, pos.Add(off)) {
+				tm.DirtyCell(c)
+				delta.Cells = append(delta.Cells, c)
+			}
+		case 2: // LCB–FF reconnection
+			ff := d.FFs[rng.Intn(len(d.FFs))]
+			from, to := d.LCBofFF(ff), lcbs[rng.Intn(len(lcbs))]
+			if from == netlist.NoCell || from == to {
+				continue
+			}
+			ck := d.FFClock(ff)
+			fromNet, toNet := d.Pins[ck].Net, d.Pins[d.LCBOut(to)].Net
+			d.MovePinToNet(ck, toNet)
+			tm.DirtyCell(ff)
+			tm.DirtyCell(from)
+			tm.DirtyCell(to)
+			delta.Nets = append(delta.Nets, fromNet, toNet)
+			delta.Pins = append(delta.Pins, ck)
+		case 3: // an LCB relocation ECO: a root-net edit
+			l := lcbs[rng.Intn(len(lcbs))]
+			d.Cells[l].Pos = d.Cells[l].Pos.Add(geom.Pt((rng.Float64()-0.5)*d.MaxDisp, 0))
+			tm.DirtyCell(l)
+			delta.Cells = append(delta.Cells, l)
+		case 4: // predictive latency
+			for j := 0; j < 1+rng.Intn(20); j++ {
+				tm.AddExtraLatency(d.FFs[rng.Intn(len(d.FFs))], (rng.Float64()-0.5)*40)
+			}
+		case 5:
+			tm.SetPeriod(d.Period * (0.9 + 0.2*rng.Float64()))
+		case 6:
+			tm.SetDerates(0.9+0.1*rng.Float64(), 1+0.1*rng.Float64())
+		case 7: // Recompile, sometimes of a port-timing ECO only it reports
+			if rng.Intn(2) == 0 {
+				port := d.OutPorts[rng.Intn(len(d.OutPorts))]
+				d.SetOutputDelay(port, d.OutDelay[port]+d.Period*rng.Float64())
+				delta.PortTiming = true
+			}
+			recompile()
+		case 8:
+			recompile() // Reset is valid only against the current design
+			tm.Reset()
+			ref.Reset()
+		default: // an Update cut short by the stop hook, then resumed
+			for j := 0; j < 50; j++ {
+				tm.AddExtraLatency(d.FFs[rng.Intn(len(d.FFs))], 25)
+			}
+			calls, stopAt := 0, 1+rng.Intn(4)
+			tm.SetCheck(func() bool { calls++; return calls > stopAt })
+			tm.Update()
+			tm.SetCheck(nil)
+			requireSlackCacheLive(t, tm, name+" (aborted)")
+		}
+		requireSlackCacheLive(t, tm, name+" (queued)")
+		tm.Update()
+		settled(name)
 	}
 }

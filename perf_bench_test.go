@@ -1,5 +1,6 @@
 // Microbenchmarks for the flat-kernel fast path: CSR propagation, the
-// parallel batch extractor, and the allocation-lean incremental Update.
+// parallel batch extractor, the allocation-lean incremental Update, and one
+// §IV cell-move trial.
 // All report allocs/op so benchstat can track both time and GC pressure
 // PR-over-PR.
 package iterskew_test
@@ -9,6 +10,8 @@ import (
 	"testing"
 
 	"iterskew/internal/delay"
+	"iterskew/internal/geom"
+	"iterskew/internal/netlist"
 	"iterskew/internal/timing"
 )
 
@@ -89,4 +92,44 @@ func BenchmarkCSRPropagation(b *testing.B) {
 		tm.FullUpdate()
 	}
 	b.ReportMetric(float64(len(tm.D.Pins)), "pins")
+}
+
+// BenchmarkMoveTrial times one §IV-B cell-move trial as MoveCells runs it —
+// move, DirtyCell, Update, the late WNSTNS guard, then the revert — on a
+// combinational cell of the worst early path. The trial's timer work is
+// the edit's cone: no clock sink is re-evaluated and only the endpoints
+// Update visits re-derive their slack.
+func BenchmarkMoveTrial(b *testing.B) {
+	tm := perfTimer(b)
+	d := tm.D
+	viol := tm.ViolatedEndpoints(timing.Early, nil)
+	if len(viol) == 0 {
+		b.Skip("no early violations")
+	}
+	comb := netlist.NoCell
+	for _, p := range tm.WorstPath(viol[0], timing.Early) {
+		if c := d.Pins[p].Cell; d.Cells[c].Type.Kind == netlist.KindComb && !d.Cells[c].Fixed {
+			comb = c
+			break
+		}
+	}
+	if comb == netlist.NoCell {
+		b.Skip("no movable cell on the worst early path")
+	}
+	origin := d.Cells[comb].Pos
+	target := origin.Add(geom.Pt(0.25*d.MaxDisp, 0))
+	b.ReportAllocs()
+	b.ResetTimer()
+	s0 := tm.Stats
+	for i := 0; i < b.N; i++ {
+		d.MoveCell(comb, target)
+		tm.DirtyCell(comb)
+		tm.Update()
+		tm.WNSTNS(timing.Late)
+		d.MoveCell(comb, origin)
+		tm.DirtyCell(comb)
+		tm.Update()
+	}
+	b.ReportMetric(float64(tm.Stats.SlackEvals-s0.SlackEvals)/float64(b.N), "slacks/op")
+	b.ReportMetric(float64(tm.Stats.ClockSinkEvals-s0.ClockSinkEvals)/float64(b.N), "clocksinks/op")
 }
