@@ -12,6 +12,9 @@ import (
 // qualitative Table-I story, this test fails. It runs two scaled designs
 // through all four methods.
 func TestHeadlineClaims(t *testing.T) {
+	// cssRepeats is how many flows time each method's CSS phase; the
+	// minimum is compared, so a busy neighbour CPU cannot fake a slowdown.
+	const cssRepeats = 3
 	type agg struct {
 		edges           int64
 		cssNS           int64
@@ -36,16 +39,25 @@ func TestHeadlineClaims(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, m := range methods {
-			rep, err := iterskew.RunFlow(d, iterskew.FlowConfig{Method: m})
-			if err != nil {
-				t.Fatalf("%s/%v: %v", name, m, err)
-			}
-			if len(rep.ConstraintErrs) != 0 {
-				t.Fatalf("%s/%v: %v", name, m, rep.ConstraintErrs)
+			// The flow is deterministic: repeats change only CSSTime.
+			var rep *iterskew.FlowReport
+			cssNS := int64(math.MaxInt64)
+			for r := 0; r < cssRepeats; r++ {
+				rr, err := iterskew.RunFlow(d, iterskew.FlowConfig{Method: m})
+				if err != nil {
+					t.Fatalf("%s/%v: %v", name, m, err)
+				}
+				if len(rr.ConstraintErrs) != 0 {
+					t.Fatalf("%s/%v: %v", name, m, rr.ConstraintErrs)
+				}
+				if rep == nil {
+					rep = rr
+				}
+				cssNS = min(cssNS, rr.CSSTime.Nanoseconds())
 			}
 			a := sums[m]
 			a.edges += rep.ExtractedEdges
-			a.cssNS += rep.CSSTime.Nanoseconds()
+			a.cssNS += cssNS
 			a.earlyWNS += rep.Final.WNSEarly
 			a.lateTNSImprove += pct(rep.Input.TNSLate, rep.Final.TNSLate)
 			a.earlyWNSImprove += pct(rep.Input.WNSEarly, rep.Final.WNSEarly)
@@ -67,7 +79,7 @@ func TestHeadlineClaims(t *testing.T) {
 		t.Errorf("edge reduction %.1f%% below the claimed regime", reduction*100)
 	}
 	// Claim 2: the CSS phase is faster than IC-CSS+'s (paper: 49×; we
-	// require ≥2× at this scale).
+	// require ≥2× at this scale, on each method's fastest of cssRepeats).
 	if float64(ic.cssNS) < 2*float64(ours.cssNS) {
 		t.Errorf("CSS speedup %.2fx below 2x", float64(ic.cssNS)/float64(ours.cssNS))
 	}

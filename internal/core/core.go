@@ -118,23 +118,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	// timing endpoints", §III-B1).
 	lastExtract := map[timing.EndpointID]float64{}
 
-	// Warm start: seed the partial graph, the frozen set and the trace
-	// filter from the donor run, so a chained phase extracts only what the
-	// donor has not already seen. The donor's frozen cells MUST stay frozen
-	// — its CycleFix invariants (edge slack == recorded mean at the end of
-	// the run) would break if a later phase raised a cycle vertex.
-	if opts.Warm != nil {
-		for _, se := range opts.Warm.Edges {
-			g.AddSeqEdge(se, isPort)
-		}
-		for _, cell := range opts.Warm.Frozen {
-			g.Freeze(g.Vertex(cell, isPortCell(d, cell)))
-		}
-		for e, s := range opts.Warm.Extracted {
-			lastExtract[e] = s
-		}
-	}
-
 	var violBuf, traceBuf []timing.EndpointID
 	var edgeBuf []timing.SeqEdge
 
@@ -226,10 +209,7 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	stall := sched.NewStallTracker(opts.StallRounds, prevTNS)
 
 	res.StopReason = sched.StopRoundCap
-	// A warm donor whose final act was a clean forced sweep has already
-	// proven the edge set complete for the current latencies; don't pay for
-	// a second identical sweep. Any increment below resets the flag.
-	finalSweepDone := opts.Warm != nil && opts.Warm.SweepDone
+	finalSweepDone := false
 	for round := 0; round < opts.MaxRounds; round++ {
 		if r, stop := cc.Reason(); stop {
 			res.StopReason = r
@@ -413,22 +393,6 @@ func Schedule(tm sched.TimingView, opts Options) (*Result, error) {
 	}
 
 	res.EdgesExtracted = len(g.Edges)
-	if opts.CollectWarm {
-		w := &sched.Warm{
-			Edges:     make([]timing.SeqEdge, len(g.Edges)),
-			Extracted: lastExtract,
-			SweepDone: finalSweepDone,
-		}
-		for i := range g.Edges {
-			w.Edges[i] = g.Edges[i].Seq
-		}
-		for v, fr := range g.Frozen {
-			if fr && !g.IsPort[v] {
-				w.Frozen = append(w.Frozen, g.Cells[v])
-			}
-		}
-		res.Warm = w
-	}
 	res.Elapsed = time.Since(start)
 	runSp.EndArg2("rounds", int64(res.Rounds), "edges", int64(res.EdgesExtracted))
 	return res, nil

@@ -36,8 +36,7 @@ const eps = 1e-6
 // Options configures an IC-CSS+ run: the shared scheduler options. IC-CSS+
 // consumes Mode, Context/Deadline, MaxRounds, StallRounds, LatencyUB,
 // Workers, Recorder, Progress and Log; the remaining fields (Margin,
-// LatencyLB, DisableHeadroom, Warm/CollectWarm) are core-specific and
-// ignored here.
+// LatencyLB, DisableHeadroom) are core-specific and ignored here.
 type Options = sched.Options
 
 // Result is the shared scheduler result; IC-CSS+ additionally fills
