@@ -1,8 +1,8 @@
 GO ?= go
 
-.PHONY: ci vet build test race bench fuzz-smoke oracle-check obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke
+.PHONY: ci vet build test race bench fuzz-smoke oracle-check obs-smoke cancel-smoke serve-smoke metrics-smoke mcmm-smoke
 
-ci: vet build test race fuzz-smoke obs-smoke engine-smoke cancel-smoke codec-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
+ci: vet build test race fuzz-smoke obs-smoke cancel-smoke serve-smoke metrics-smoke mcmm-smoke oracle-check
 
 vet:
 	$(GO) vet ./...
@@ -40,7 +40,7 @@ oracle-check:
 	ORACLE_FUZZ_N=1000 $(GO) test ./internal/fuzz -run '^TestOracleAgreement$$' -v
 
 # End-to-end observability smoke: run cssbench with tracing and the live
-# debug server on a small bench, hit /debug/vars and /debug/pprof/ while it
+# debug server on a small bench, hit /metrics and /debug/pprof/ while it
 # runs, then assert the Chrome trace is well-formed with round + worker-task
 # span coverage.
 OBS_TMP ?= /tmp/iterskew-obs-smoke
@@ -50,16 +50,16 @@ obs-smoke:
 	$(OBS_TMP)/cssbench -scale 0.01 -workers 2 \
 	    -trace $(OBS_TMP)/trace.json -events $(OBS_TMP)/events.jsonl \
 	    -httpaddr 127.0.0.1:6878 > $(OBS_TMP)/stdout.txt 2>&1 & \
-	pid=$$!; vars=fail; pprof=fail; \
+	pid=$$!; metrics=fail; pprof=fail; \
 	for i in $$(seq 1 100); do \
-	    if curl -sf http://127.0.0.1:6878/debug/vars | grep -q '"iterskew"'; then vars=ok; break; fi; \
+	    if curl -sf http://127.0.0.1:6878/metrics | grep -q '^iterskew_'; then metrics=ok; break; fi; \
 	    kill -0 $$pid 2>/dev/null || break; sleep 0.05; \
 	done; \
 	curl -sf http://127.0.0.1:6878/debug/pprof/ > /dev/null && pprof=ok; \
 	wait $$pid || { echo "obs-smoke: cssbench failed"; cat $(OBS_TMP)/stdout.txt; exit 1; }; \
-	test $$vars = ok || { echo "obs-smoke: /debug/vars never served live counters"; exit 1; }; \
+	test $$metrics = ok || { echo "obs-smoke: /metrics never served live counters"; exit 1; }; \
 	test $$pprof = ok || { echo "obs-smoke: /debug/pprof/ not served"; exit 1; }; \
-	echo "obs-smoke: /debug/vars ok, /debug/pprof/ ok"
+	echo "obs-smoke: /metrics ok, /debug/pprof/ ok"
 	$(OBS_TMP)/cssbench -checktrace $(OBS_TMP)/trace.json
 	@test -s $(OBS_TMP)/events.jsonl && echo "obs-smoke: events.jsonl non-empty"
 
@@ -78,29 +78,6 @@ cancel-smoke:
 	@grep -c '"stop_reason"' $(CANCEL_TMP)/bench.json | grep -qx 5 || \
 	    { echo "cancel-smoke: expected 5 rows (one per method)"; exit 1; }
 	@echo "cancel-smoke: clean exit, partial results, deadline stop_reason recorded"
-
-# Graph-codec smoke: generate a bench design, compile and save the graph
-# artifact, then load it in a second process and schedule — cssbench exits
-# non-zero if the decoded graph's schedule diverges bit-for-bit from an
-# in-process compile.
-CODEC_TMP ?= /tmp/iterskew-codec-smoke
-codec-smoke:
-	rm -rf $(CODEC_TMP) && mkdir -p $(CODEC_TMP)
-	$(GO) build -o $(CODEC_TMP)/cssbench ./cmd/cssbench
-	$(CODEC_TMP)/cssbench -scale 0.01 -designs superblue1 -savegraph $(CODEC_TMP)/graph.iskg
-	$(CODEC_TMP)/cssbench -scale 0.01 -designs superblue1 -loadgraph $(CODEC_TMP)/graph.iskg
-	@echo "codec-smoke: decoded graph schedules identically to in-process compile"
-
-# Concurrent-session smoke: 8 simultaneous mixed-method scheduling sessions
-# over one shared compiled graph, byte-compared against dedicated serial
-# runs (cssbench exits non-zero on any divergence).
-ENGINE_TMP ?= /tmp/iterskew-engine-smoke
-engine-smoke:
-	rm -rf $(ENGINE_TMP) && mkdir -p $(ENGINE_TMP)
-	$(GO) build -o $(ENGINE_TMP)/cssbench ./cmd/cssbench
-	$(ENGINE_TMP)/cssbench -scale 0.004 -sessions 8 -json $(ENGINE_TMP)/sessions.json
-	@grep -q '"identical_to_serial": true' $(ENGINE_TMP)/sessions.json && \
-	    echo "engine-smoke: 8 concurrent sessions identical to serial"
 
 # Service smoke: boot the real iterskewd daemon on an ephemeral port, drive
 # it with the cssbench load harness (4 clients x 6 jobs, streamed and plain),

@@ -9,7 +9,6 @@
 //	go run ./cmd/cssbench -scale 0.02    # larger circuits
 //	go run ./cmd/cssbench -designs superblue18,superblue5
 //	go run ./cmd/cssbench -sweep         # §III-D complexity sweep instead
-//	go run ./cmd/cssbench -sessions 8    # concurrent-session benchmark instead
 //	go run ./cmd/cssbench -timeout 50ms  # bound each run; partial results
 //
 // With -timeout each flow run gets its own wall-clock budget: the schedulers
@@ -17,16 +16,12 @@
 // so the table still completes (rows carry a [deadline] marker and the -json
 // output a "stop_reason" field — the cancel-smoke CI target relies on this).
 //
-// The -sessions mode exercises the compile-once/schedule-many engine: it
-// measures the amortized cost of a pooled session (timing.Graph.NewState)
-// against a full timer build (timing.New), then runs N concurrent
-// mixed-method scheduling sessions over one shared graph and verifies the
-// results are byte-identical to dedicated serial runs, exiting non-zero on
-// any divergence (the engine-smoke CI target relies on this).
+// The -load and -corners modes drive a live iterskewd daemon (the
+// serve-smoke, metrics-smoke and mcmm-smoke CI targets); -checktrace
+// validates a -trace file (obs-smoke).
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/csv"
 	"encoding/json"
@@ -42,35 +37,23 @@ import (
 	"time"
 
 	"iterskew"
-	"iterskew/internal/core"
-	"iterskew/internal/delay"
-	"iterskew/internal/engine"
-	"iterskew/internal/fpm"
-	"iterskew/internal/graphio"
-	"iterskew/internal/iccss"
-	"iterskew/internal/netlist"
 	"iterskew/internal/obs"
-	"iterskew/internal/sched"
-	"iterskew/internal/timing"
 )
 
 func main() {
 	scale := flag.Float64("scale", 0.01, "linear shrink on contest flip-flop counts")
 	designs := flag.String("designs", "all", "comma-separated design list or 'all'")
 	sweep := flag.Bool("sweep", false, "run the O(k·m') complexity sweep (experiment E4) instead of Table I")
-	sessions := flag.Int("sessions", 0, "run the concurrent-session engine benchmark with this many sessions instead of Table I")
 	csvPath := flag.String("csv", "", "also write the per-design rows to this CSV file")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "worker-pool width for batch extraction and incremental propagation")
-	jsonPath := flag.String("json", "", "write the Table-I rows plus extraction/propagation micro-timings to this JSON file")
+	jsonPath := flag.String("json", "", "write the Table-I rows (and, with a recorder, the per-phase breakdown) to this JSON file")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	tracePath := flag.String("trace", "", "write a Chrome trace_event JSON file (load in chrome://tracing or Perfetto)")
 	eventsPath := flag.String("events", "", "write per-round JSONL events to this file")
-	httpAddr := flag.String("httpaddr", "", "serve net/http/pprof and expvar live counters on this address during the run")
+	httpAddr := flag.String("httpaddr", "", "serve net/http/pprof and Prometheus /metrics live counters on this address during the run")
 	progress := flag.Bool("progress", false, "print one line per scheduling round to stderr")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget per flow run (0 = none): schedulers stop cooperatively and report partial results")
 	checkTrace := flag.String("checktrace", "", "validate a trace file written by -trace (round + worker span coverage) and exit")
-	saveGraph := flag.String("savegraph", "", "compile the first selected design and write the graph artifact to this file, then exit")
-	loadGraph := flag.String("loadgraph", "", "load a graph artifact for the first selected design, schedule on it, verify bit-identity against an in-process compile, then exit (non-zero on divergence)")
 	serveAddr := flag.String("serveaddr", "", "base URL of a live iterskewd daemon for the -load harness (e.g. http://127.0.0.1:8077)")
 	loadN := flag.Int("load", 0, "run the service load harness against -serveaddr with this many concurrent clients, then exit")
 	loadJobs := flag.Int("loadjobs", 8, "jobs per client in the -load harness")
@@ -108,7 +91,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/ (/debug/pprof/, /debug/vars)\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "debug server on http://%s/ (/debug/pprof/, /metrics)\n", srv.Addr)
 	}
 	var logW io.Writer
 	if *progress {
@@ -127,14 +110,6 @@ func main() {
 			os.Exit(1)
 		}
 		defer pprof.StopCPUProfile()
-	}
-
-	if *saveGraph != "" || *loadGraph != "" {
-		if err := runGraphArtifact(*designs, *scale, *saveGraph, *loadGraph); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *loadN > 0 {
@@ -162,17 +137,24 @@ func main() {
 		return
 	}
 
-	if *sessions > 0 {
-		if err := runSessions(*designs, *scale, *sessions, *workers, *jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	names := iterskew.SuperblueNames()
 	if *designs != "all" {
 		names = strings.Split(*designs, ",")
+		for i := range names {
+			names[i] = strings.TrimSpace(names[i])
+		}
+	}
+
+	// Create the JSON file before the first flow so a bad path fails at
+	// once instead of after the whole table has run.
+	var jsonF *os.File
+	if *jsonPath != "" {
+		f, err := os.Create(*jsonPath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		jsonF = f
 	}
 
 	methods := []iterskew.Method{iterskew.Baseline, iterskew.FPM, iterskew.OursEarly, iterskew.ICCSSPlus, iterskew.Ours}
@@ -211,7 +193,7 @@ func main() {
 	}
 
 	for _, name := range names {
-		p, err := iterskew.SuperblueProfile(strings.TrimSpace(name), *scale)
+		p, err := iterskew.SuperblueProfile(name, *scale)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -264,7 +246,7 @@ func main() {
 					strconv.Itoa(rep.Rounds),
 				})
 			}
-			if *jsonPath != "" {
+			if jsonF != nil {
 				jrows = append(jrows, rowJSON{
 					Design: name, Method: m.String(),
 					EWNSps: f.WNSEarly, ETNSps: f.TNSEarly,
@@ -307,8 +289,16 @@ func main() {
 	fmt.Printf("  Total speedup Ours vs IC-CSS+ : %6.2fx\n", ratio(ic.total.Seconds(), ours.total.Seconds()))
 	fmt.Printf("  Total speedup Ours-Early vs FPM: %6.2fx\n", ratio(fpm.total.Seconds(), oursE.total.Seconds()))
 
-	if *jsonPath != "" {
-		writeJSON(*jsonPath, *scale, *workers, names, jrows, rec)
+	if jsonF != nil {
+		out := benchJSON{Scale: *scale, Workers: *workers, CPUs: runtime.GOMAXPROCS(0), Rows: jrows}
+		if rec != nil {
+			out.Phases = rec.Phases()
+		}
+		if err := writeJSON(jsonF, out); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("\nwrote %s (%d rows)\n", *jsonPath, len(jrows))
 	}
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -342,483 +332,20 @@ type rowJSON struct {
 	StopReason  string  `json:"stop_reason"`
 }
 
-// microJSON is one timer hot-path measurement.
-type microJSON struct {
-	Name        string  `json:"name"`
-	Workers     int     `json:"workers"`
-	Iters       int     `json:"iters"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	Metric      float64 `json:"metric,omitempty"`
-	MetricName  string  `json:"metric_name,omitempty"`
-}
-
 type benchJSON struct {
-	Scale   float64     `json:"scale"`
-	Workers int         `json:"workers"`
-	CPUs    int         `json:"cpus"`
-	Note    string      `json:"note,omitempty"`
-	Rows    []rowJSON   `json:"rows"`
-	Micro   []microJSON `json:"micro"`
+	Scale   float64   `json:"scale"`
+	Workers int       `json:"workers"`
+	CPUs    int       `json:"cpus"`
+	Rows    []rowJSON `json:"rows"`
 	// Phases is the per-phase wall-time and allocation breakdown recorded
 	// during the table runs (present when -trace/-events/-httpaddr enabled
 	// a recorder).
 	Phases []iterskew.PhaseStat `json:"phases,omitempty"`
-	// Sessions is the -sessions mode's concurrent-engine measurement.
-	Sessions *sessionsJSON `json:"sessions,omitempty"`
-	// ColdStart compares a second-process cold start through the graphio
-	// codec (decode an artifact) against compiling from the netlist, per
-	// design.
-	ColdStart []coldStartJSON `json:"cold_start,omitempty"`
-	// Recompile measures the ECO loop: one Graph.Recompile per single-cell
-	// delta against a from-scratch compile, per design.
-	Recompile []recompileJSON `json:"recompile,omitempty"`
 	// Service is the -load harness's measurement of a live iterskewd daemon.
 	Service *serviceJSON `json:"service,omitempty"`
 
 	// MCMM is the -corners multi-corner benchmark/smoke block.
 	MCMM *mcmmJSON `json:"mcmm,omitempty"`
-}
-
-// coldStartJSON is one design's compile-vs-decode measurement.
-type coldStartJSON struct {
-	Design    string  `json:"design"`
-	GraphKB   float64 `json:"graph_kb"`    // Graph.Bytes() of the compiled slabs
-	BlobKB    float64 `json:"artifact_kb"` // encoded artifact size
-	CompileNs float64 `json:"compile_ns"`  // timing.Compile from the netlist
-	EncodeNs  float64 `json:"encode_ns"`   // graphio.Write to memory
-	// HashNs is the one-time graphio.HashOf cost; a loader pays it once per
-	// design and then decodes any number of artifacts against it.
-	HashNs    float64 `json:"hash_ns"`
-	DecodeNs  float64 `json:"decode_ns"` // graphio.ReadVerified from memory
-	Speedup   float64 `json:"decode_speedup"`
-	Identical bool    `json:"identical"` // decoded schedule bitwise == compiled
-}
-
-// recompileJSON is one design's per-delta ECO cost measurement.
-type recompileJSON struct {
-	Design        string  `json:"design"`
-	DeltaNs       float64 `json:"recompile_ns_per_delta"` // single-cell move
-	FullCompileNs float64 `json:"full_compile_ns"`
-	Ratio         float64 `json:"compile_over_recompile"`
-	FullFallbacks int     `json:"full_fallbacks"` // deltas that fell back to full compile
-	Identical     bool    `json:"identical"`      // final state bitwise == fresh compile
-}
-
-// sessionsJSON records the -sessions concurrent-engine benchmark: how much
-// cheaper a pooled session state is than a full timer build, and the
-// throughput of N simultaneous scheduling sessions over one shared graph.
-type sessionsJSON struct {
-	Sessions int `json:"sessions"`
-	// TimingNewNs / NewStateNs are the per-session creation costs of a full
-	// timing.New build vs Graph.NewState on an existing compiled graph.
-	TimingNewNs float64 `json:"timing_new_ns_per_op"`
-	NewStateNs  float64 `json:"new_state_ns_per_op"`
-	// StateSpeedup = TimingNewNs / NewStateNs (the compile-once dividend).
-	StateSpeedup float64 `json:"new_state_speedup"`
-	// SerialSec / ConcurrentSec run the same mixed job list with dedicated
-	// serial timers vs engine sessions over one graph.
-	SerialSec     float64 `json:"serial_jobs_s"`
-	ConcurrentSec float64 `json:"concurrent_jobs_s"`
-	JobsPerSec    float64 `json:"engine_jobs_per_s"`
-	StatesCreated int     `json:"states_created"`
-	// Identical asserts every engine job's schedule matched its serial
-	// reference bit-for-bit.
-	Identical bool `json:"identical_to_serial"`
-}
-
-// runSessions is the -sessions mode: see the package comment.
-func runSessions(designs string, scale float64, n, workers int, jsonPath string) error {
-	name := iterskew.SuperblueNames()[0]
-	if designs != "all" {
-		name = strings.TrimSpace(strings.Split(designs, ",")[0])
-	}
-	p, err := iterskew.SuperblueProfile(name, scale)
-	if err != nil {
-		return err
-	}
-	d, err := iterskew.GenerateBenchmark(p)
-	if err != nil {
-		return err
-	}
-	st := d.Stats()
-	fmt.Printf("concurrent-session benchmark: %s scale %g (cells=%d ffs=%d), %d sessions, %d CPUs\n",
-		name, scale, st.Cells, st.FFs, n, runtime.GOMAXPROCS(0))
-
-	// Amortized session-creation cost: full build vs pooled state.
-	g, err := timing.Compile(d, delay.Default())
-	if err != nil {
-		return err
-	}
-	sj := &sessionsJSON{Sessions: n}
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if _, err := timing.New(d, delay.Default()); err != nil {
-			return err
-		}
-	}
-	sj.TimingNewNs = float64(time.Since(start).Nanoseconds()) / float64(n)
-	start = time.Now()
-	for i := 0; i < n; i++ {
-		g.NewState()
-	}
-	sj.NewStateNs = float64(time.Since(start).Nanoseconds()) / float64(n)
-	sj.StateSpeedup = sj.TimingNewNs / sj.NewStateNs
-	fmt.Printf("  session creation: timing.New %.0f ns, Graph.NewState %.0f ns (%.1fx cheaper)\n",
-		sj.TimingNewNs, sj.NewStateNs, sj.StateSpeedup)
-
-	// N mixed jobs: all three schedulers, both modes, what-if periods.
-	jobs := make([]engine.Job, n)
-	for i := range jobs {
-		switch i % 4 {
-		case 0:
-			jobs[i] = engine.Job{Options: sched.Options{Mode: timing.Early}}
-		case 1:
-			jobs[i] = engine.Job{Options: sched.Options{Mode: timing.Late}}
-		case 2:
-			jobs[i] = engine.Job{Scheduler: iccss.Scheduler, Options: sched.Options{Mode: timing.Early}}
-		case 3:
-			jobs[i] = engine.Job{Scheduler: fpm.Scheduler}
-		}
-		if i >= 4 {
-			jobs[i].Period = d.Period * (1 + 0.05*float64(i%5))
-		}
-	}
-
-	// Serial references: a dedicated full timer per job.
-	serial := make([]*sched.Result, n)
-	start = time.Now()
-	for i, job := range jobs {
-		tm, err := timing.New(d, delay.Default())
-		if err != nil {
-			return err
-		}
-		if job.Period != 0 {
-			tm.SetPeriod(job.Period)
-		}
-		s := job.Scheduler
-		if s == nil {
-			s = core.Scheduler
-		}
-		if serial[i], err = s.Schedule(tm, job.Options); err != nil {
-			return err
-		}
-	}
-	sj.SerialSec = time.Since(start).Seconds()
-
-	e := engine.NewFromGraph(g, engine.Config{MaxInFlight: n, Workers: workers})
-	start = time.Now()
-	results := e.RunAll(jobs)
-	sj.ConcurrentSec = time.Since(start).Seconds()
-	sj.JobsPerSec = float64(n) / sj.ConcurrentSec
-	sj.StatesCreated = e.StatesCreated()
-
-	sj.Identical = true
-	for i, r := range results {
-		if r.Err != nil {
-			return fmt.Errorf("engine job %d: %w", i, r.Err)
-		}
-		if !sameSchedule(r.Result.Target, serial[i].Target) {
-			sj.Identical = false
-			fmt.Fprintf(os.Stderr, "job %d: engine schedule diverges from serial reference\n", i)
-		}
-	}
-	fmt.Printf("  %d jobs: serial %.3fs, engine %.3fs (%.1f jobs/s, %d states created)\n",
-		n, sj.SerialSec, sj.ConcurrentSec, sj.JobsPerSec, sj.StatesCreated)
-
-	if jsonPath != "" {
-		out := benchJSON{Scale: scale, Workers: workers, CPUs: runtime.GOMAXPROCS(0), Sessions: sj}
-		f, err := os.Create(jsonPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", jsonPath)
-	}
-	if !sj.Identical {
-		return fmt.Errorf("concurrent sessions diverged from serial references")
-	}
-	fmt.Println("  all engine schedules byte-identical to serial references")
-	return nil
-}
-
-// runGraphArtifact is the -savegraph / -loadgraph mode: persist the first
-// selected design's compiled graph, or load one back, schedule on it and
-// verify the schedule is bit-identical to an in-process compile (the
-// codec-smoke CI target relies on the non-zero exit on divergence).
-func runGraphArtifact(designs string, scale float64, savePath, loadPath string) error {
-	name := iterskew.SuperblueNames()[0]
-	if designs != "all" {
-		name = strings.TrimSpace(strings.Split(designs, ",")[0])
-	}
-	p, err := iterskew.SuperblueProfile(name, scale)
-	if err != nil {
-		return err
-	}
-	d, err := iterskew.GenerateBenchmark(p)
-	if err != nil {
-		return err
-	}
-
-	if savePath != "" {
-		start := time.Now()
-		g, err := timing.Compile(d, delay.Default())
-		if err != nil {
-			return err
-		}
-		compileT := time.Since(start)
-		f, err := os.Create(savePath)
-		if err != nil {
-			return err
-		}
-		start = time.Now()
-		if err := graphio.Write(f, g); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fi, _ := os.Stat(savePath)
-		fmt.Printf("saved %s: %s scale %g, compile %v, encode %v, %d slab bytes, %d file bytes\n",
-			savePath, name, scale, compileT, time.Since(start), g.Bytes(), fi.Size())
-	}
-
-	if loadPath != "" {
-		start := time.Now()
-		g, err := timing.Compile(d, delay.Default())
-		if err != nil {
-			return err
-		}
-		compileT := time.Since(start)
-		start = time.Now()
-		h, err := graphio.HashOf(d, delay.Default())
-		if err != nil {
-			return err
-		}
-		hashT := time.Since(start)
-		start = time.Now()
-		blob, err := os.ReadFile(loadPath)
-		if err != nil {
-			return err
-		}
-		lg, err := graphio.DecodeVerified(blob, d, delay.Default(), h)
-		if err != nil {
-			return err
-		}
-		decodeT := time.Since(start)
-		want, err := scheduleTargets(g)
-		if err != nil {
-			return err
-		}
-		got, err := scheduleTargets(lg)
-		if err != nil {
-			return err
-		}
-		if !sameSchedule(got, want) {
-			return fmt.Errorf("loadgraph %s: schedule on the decoded graph diverges from in-process compile", loadPath)
-		}
-		fmt.Printf("loaded %s: compile %v vs decode %v (%.1fx, + one-time hash %v), schedule bit-identical across %d endpoints\n",
-			loadPath, compileT, decodeT, ratio(float64(compileT), float64(decodeT)), hashT, len(want))
-	}
-	return nil
-}
-
-// scheduleTargets runs the core scheduler to convergence on a fresh state.
-func scheduleTargets(g *timing.Graph) (map[iterskew.CellID]float64, error) {
-	res, err := core.Schedule(g.NewState(), core.Options{StallRounds: -1})
-	if err != nil {
-		return nil, err
-	}
-	return res.Target, nil
-}
-
-// measureColdStart times compile-from-netlist vs decode-from-artifact for
-// one design and verifies the decoded graph schedules identically. Both
-// sides report best-of-N: a cold start is a one-shot event in a fresh
-// process, so the representative number excludes the GC churn the
-// measurement loop itself induces by leaking one multi-megabyte graph per
-// iteration (this applies equally to the compile and decode loops).
-func measureColdStart(name string, scale float64) (coldStartJSON, error) {
-	out := coldStartJSON{Design: name}
-	p, err := iterskew.SuperblueProfile(name, scale)
-	if err != nil {
-		return out, err
-	}
-	d, err := iterskew.GenerateBenchmark(p)
-	if err != nil {
-		return out, err
-	}
-	m := delay.Default()
-
-	// Each timed iteration starts on a collected heap: the loop leaks one
-	// multi-megabyte graph per pass, and without the explicit GC the next
-	// iteration pays the previous one's collection debt — noise a real
-	// one-shot cold start (or compile) never sees. Both loops get the same
-	// treatment.
-	const compIters, decIters = 5, 10
-	var g *timing.Graph
-	best := math.MaxFloat64
-	for i := 0; i < compIters; i++ {
-		runtime.GC()
-		start := time.Now()
-		if g, err = timing.Compile(d, m); err != nil {
-			return out, err
-		}
-		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
-	}
-	out.CompileNs = best
-
-	var buf bytes.Buffer
-	best = math.MaxFloat64
-	for i := 0; i < compIters; i++ {
-		buf.Reset()
-		runtime.GC()
-		start := time.Now()
-		if err := graphio.Write(&buf, g); err != nil {
-			return out, err
-		}
-		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
-	}
-	out.EncodeNs = best
-	out.GraphKB = float64(g.Bytes()) / 1024
-	out.BlobKB = float64(buf.Len()) / 1024
-
-	// Hash once (the loader's steady state: one HashOf per design, then any
-	// number of O(read) decodes against it), then time the cold start proper:
-	// read the artifact file back and decode it in place.
-	start := time.Now()
-	h, err := graphio.HashOf(d, m)
-	if err != nil {
-		return out, err
-	}
-	out.HashNs = float64(time.Since(start).Nanoseconds())
-
-	tmp, err := os.CreateTemp("", "cssbench-*.iskg")
-	if err != nil {
-		return out, err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return out, err
-	}
-	if err := tmp.Close(); err != nil {
-		return out, err
-	}
-
-	var lg *timing.Graph
-	best = math.MaxFloat64
-	for i := 0; i < decIters; i++ {
-		runtime.GC()
-		start := time.Now()
-		blob, err := os.ReadFile(tmp.Name())
-		if err != nil {
-			return out, err
-		}
-		if lg, err = graphio.DecodeVerified(blob, d, m, h); err != nil {
-			return out, err
-		}
-		best = math.Min(best, float64(time.Since(start).Nanoseconds()))
-	}
-	out.DecodeNs = best
-	out.Speedup = out.CompileNs / out.DecodeNs
-
-	want, err := scheduleTargets(g)
-	if err != nil {
-		return out, err
-	}
-	got, err := scheduleTargets(lg)
-	if err != nil {
-		return out, err
-	}
-	out.Identical = sameSchedule(got, want)
-	return out, nil
-}
-
-// measureRecompile times the ECO loop: a single-cell move applied through
-// Graph.Recompile, against a from-scratch compile, verifying the final
-// recompiled graph still schedules identically to a fresh build.
-func measureRecompile(name string, scale float64) (recompileJSON, error) {
-	out := recompileJSON{Design: name}
-	p, err := iterskew.SuperblueProfile(name, scale)
-	if err != nil {
-		return out, err
-	}
-	d, err := iterskew.GenerateBenchmark(p)
-	if err != nil {
-		return out, err
-	}
-	m := delay.Default()
-	g, err := timing.Compile(d, m)
-	if err != nil {
-		return out, err
-	}
-
-	// Pick a movable combinational cell for the repeated delta.
-	target := -1
-	for ci := range d.Cells {
-		if d.Cells[ci].Type.Kind == netlist.KindComb {
-			pos := d.Cells[ci].Pos
-			pos.X++
-			if d.MoveCell(netlist.CellID(ci), pos) {
-				target = ci
-				break
-			}
-		}
-	}
-	if target < 0 {
-		return out, fmt.Errorf("%s: no movable comb cell", name)
-	}
-	delta := timing.Delta{Cells: []netlist.CellID{netlist.CellID(target)}}
-	if _, err := g.Recompile(delta); err != nil { // absorb the pick's move
-		return out, err
-	}
-
-	const iters = 50
-	dx := 1.0
-	start := time.Now()
-	for i := 0; i < iters; i++ {
-		pos := d.Cells[target].Pos
-		pos.X += dx
-		if !d.MoveCell(netlist.CellID(target), pos) {
-			dx = -dx
-			continue
-		}
-		dx = -dx
-		st, err := g.Recompile(delta)
-		if err != nil {
-			return out, err
-		}
-		if st.Full {
-			out.FullFallbacks++
-		}
-	}
-	out.DeltaNs = float64(time.Since(start).Nanoseconds()) / iters
-
-	start = time.Now()
-	fresh, err := timing.Compile(d, m)
-	if err != nil {
-		return out, err
-	}
-	out.FullCompileNs = float64(time.Since(start).Nanoseconds())
-	out.Ratio = out.FullCompileNs / out.DeltaNs
-
-	want, err := scheduleTargets(fresh)
-	if err != nil {
-		return out, err
-	}
-	got, err := scheduleTargets(g)
-	if err != nil {
-		return out, err
-	}
-	out.Identical = sameSchedule(got, want)
-	return out, nil
 }
 
 // sameSchedule compares two target-latency schedules bit-for-bit.
@@ -835,132 +362,16 @@ func sameSchedule(a, b map[iterskew.CellID]float64) bool {
 	return true
 }
 
-// measure times `iters` calls of fn and derives allocs/op from the runtime
-// allocation counter (cssbench is single-goroutine outside fn itself).
-func measure(name string, workersUsed, iters int, metricName string, fn func() float64) microJSON {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	var metric float64
-	for i := 0; i < iters; i++ {
-		metric = fn()
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	return microJSON{
-		Name:        name,
-		Workers:     workersUsed,
-		Iters:       iters,
-		NsPerOp:     float64(elapsed.Nanoseconds()) / float64(iters),
-		AllocsPerOp: float64(m1.Mallocs-m0.Mallocs) / float64(iters),
-		Metric:      metric,
-		MetricName:  metricName,
-	}
-}
-
-// writeJSON records the Table-I rows plus extraction/propagation
-// micro-timings on the first design, at one worker and at the requested
-// width, so the hot paths are tracked alongside the QoR table — and the
-// per-design cold-start (compile vs artifact decode) and ECO-recompile
-// measurements.
-func writeJSON(path string, scale float64, workers int, names []string, rows []rowJSON, rec *iterskew.Recorder) {
-	p, err := iterskew.SuperblueProfile(strings.TrimSpace(names[0]), scale)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	d, err := iterskew.GenerateBenchmark(p)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	tm, err := timing.New(d, delay.Default())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
-	out := benchJSON{Scale: scale, Workers: workers, CPUs: runtime.GOMAXPROCS(0), Rows: rows}
-	if rec != nil {
-		out.Phases = rec.Phases()
-	}
-	if out.CPUs == 1 {
-		out.Note = "single-CPU host: worker widths > 1 measure pool overhead only; " +
-			"results are bit-identical at any width, compare widths on a multi-core host"
-	}
-	widths := []int{1}
-	if workers > 1 {
-		widths = append(widths, workers)
-	}
-
-	viol := tm.ViolatedEndpoints(timing.Late, nil)
-	var edgeBuf []timing.SeqEdge
-	const iters = 20
-	for _, w := range widths {
-		w := w
-		out.Micro = append(out.Micro, measure("extract_essential_batch", w, iters, "edges", func() float64 {
-			edgeBuf = tm.ExtractEssentialBatch(viol, timing.Late, 0, w, edgeBuf[:0])
-			return float64(len(edgeBuf))
-		}))
-		out.Micro = append(out.Micro, measure("extract_all_from_batch", w, iters, "edges", func() float64 {
-			edgeBuf = tm.ExtractAllFromBatch(d.FFs, timing.Late, w, edgeBuf[:0])
-			return float64(len(edgeBuf))
-		}))
-	}
-	for _, w := range widths {
-		w := w
-		tm.SetWorkers(w)
-		i := 0
-		out.Micro = append(out.Micro, measure("incremental_update", w, iters, "pins", func() float64 {
-			for j := i % 5; j < len(d.FFs); j += 5 {
-				tm.SetExtraLatency(d.FFs[j], float64((i+j)%23))
-			}
-			i++
-			return float64(tm.Update())
-		}))
-	}
-	tm.SetWorkers(1)
-	out.Micro = append(out.Micro, measure("full_propagation_csr", 1, iters, "pins", func() float64 {
-		tm.FullUpdate()
-		return float64(len(d.Pins))
-	}))
-
-	for _, name := range names {
-		name = strings.TrimSpace(name)
-		cs, err := measureColdStart(name, scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		out.ColdStart = append(out.ColdStart, cs)
-		rc, err := measureRecompile(name, scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		out.Recompile = append(out.Recompile, rc)
-		fmt.Printf("%-12s cold start: compile %.2fms vs decode %.2fms (%.1fx); recompile/delta %.3fms vs full %.2fms (%.1fx)\n",
-			name, cs.CompileNs/1e6, cs.DecodeNs/1e6, cs.Speedup,
-			rc.DeltaNs/1e6, rc.FullCompileNs/1e6, rc.Ratio)
-		if !cs.Identical || !rc.Identical {
-			fmt.Fprintf(os.Stderr, "%s: decoded/recompiled graph diverges from from-scratch compile\n", name)
-			os.Exit(1)
-		}
-	}
-
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
+// writeJSON writes the Table-I rows and the recorder's phase breakdown to
+// f, which main created before the first flow ran, and closes it.
+func writeJSON(f *os.File, out benchJSON) error {
 	enc := json.NewEncoder(f)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(out); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		f.Close()
+		return err
 	}
-	fmt.Printf("\nwrote %s (%d rows, %d micro-timings)\n", path, len(rows), len(out.Micro))
+	return f.Close()
 }
 
 // validateTrace decodes a -trace output file and asserts the coverage the

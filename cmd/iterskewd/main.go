@@ -14,9 +14,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
-	"io"
 	"os"
 	"os/signal"
 	"runtime/debug"
@@ -49,7 +49,7 @@ func outWriter(path string) (io.Writer, error) {
 func run() error {
 	var (
 		addr         = flag.String("addr", ":8077", "listen address (use 127.0.0.1:0 for an ephemeral port)")
-		debugAddr    = flag.String("debugaddr", "", "obs debug sidecar address (pprof + expvar); empty disables")
+		debugAddr    = flag.String("debugaddr", "", "obs debug sidecar address (pprof + /metrics); empty disables")
 		maxInFlight  = flag.Int("maxinflight", 0, "max simultaneous admitted requests; excess gets 429 (0 = GOMAXPROCS)")
 		workers      = flag.Int("workers", 0, "per-session worker-pool width (0 = serial)")
 		cacheBytes   = flag.Int64("cachebytes", 0, "compiled-graph cache byte budget (0 = unbounded)")

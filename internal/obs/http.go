@@ -1,37 +1,11 @@
 package obs
 
 import (
-	"expvar"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarOnce guards the process-global expvar name: expvar.Publish panics on
-// duplicates, and tests may start several debug servers.
-var (
-	expvarOnce sync.Once
-	expvarRec  *Recorder
-	expvarMu   sync.Mutex
-)
-
-// publishExpvar publishes this recorder's Snapshot under the "iterskew"
-// expvar key. Later calls re-point the key at the newest recorder.
-func publishExpvar(r *Recorder) {
-	expvarMu.Lock()
-	expvarRec = r
-	expvarMu.Unlock()
-	expvarOnce.Do(func() {
-		expvar.Publish("iterskew", expvar.Func(func() any {
-			expvarMu.Lock()
-			rec := expvarRec
-			expvarMu.Unlock()
-			return rec.Snapshot()
-		}))
-	})
-}
 
 // DebugServer is a live diagnostics HTTP server bound to one Recorder.
 type DebugServer struct {
@@ -40,23 +14,21 @@ type DebugServer struct {
 	ln   net.Listener
 }
 
-// StartDebugServer serves /debug/pprof/* (the full net/http/pprof surface),
-// /debug/vars (expvar, including the recorder's live counters under the
-// "iterskew" key) and /metrics (Prometheus text exposition of the recorder)
-// on addr, in a background goroutine. It uses a private mux, so nothing
-// leaks onto http.DefaultServeMux. Close the returned server when done.
+// StartDebugServer serves /debug/pprof/* (the full net/http/pprof surface)
+// and /metrics (Prometheus text exposition of the recorder's live counters,
+// gauges and span histograms) on addr, in a background goroutine. It uses a
+// private mux, so nothing leaks onto http.DefaultServeMux. Close the
+// returned server when done.
 func StartDebugServer(addr string, r *Recorder) (*DebugServer, error) {
-	publishExpvar(r)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.Handle("/metrics", MetricsHandler(r))
 	mux.HandleFunc("/", func(w http.ResponseWriter, req *http.Request) {
-		fmt.Fprintf(w, "iterskew debug server\n/debug/pprof/\n/debug/vars\n/metrics\n")
+		fmt.Fprintf(w, "iterskew debug server\n/debug/pprof/\n/metrics\n")
 	})
 
 	ln, err := net.Listen("tcp", addr)

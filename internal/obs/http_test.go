@@ -1,15 +1,14 @@
 package obs
 
 import (
-	"encoding/json"
 	"io"
 	"net/http"
 	"testing"
 )
 
 // TestDebugServer starts the diagnostics server on an ephemeral port and
-// checks the pprof index and the expvar page (including the recorder's live
-// counters under the "iterskew" key).
+// checks the pprof index and the Prometheus page (including the recorder's
+// live counters).
 func TestDebugServer(t *testing.T) {
 	r := NewRecorder()
 	r.Add(CtrRounds, 11)
@@ -38,35 +37,11 @@ func TestDebugServer(t *testing.T) {
 	if body := get("/debug/pprof/"); len(body) == 0 {
 		t.Fatal("empty pprof index")
 	}
-	var vars struct {
-		Iterskew map[string]any `json:"iterskew"`
-	}
-	if err := json.Unmarshal(get("/debug/vars"), &vars); err != nil {
-		t.Fatalf("expvar page not JSON: %v", err)
-	}
-	if got := vars.Iterskew["counter.rounds"]; got != float64(11) {
-		t.Fatalf("expvar counter.rounds = %v, want 11", got)
-	}
-
-	// A second server re-points the process-global expvar key at the newer
-	// recorder rather than panicking on duplicate publication.
-	r2 := NewRecorder()
-	r2.Add(CtrRounds, 99)
-	ds2, err := StartDebugServer("127.0.0.1:0", r2)
+	samples, err := ParseExposition(get("/metrics"))
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("/metrics does not parse: %v", err)
 	}
-	defer ds2.Close()
-	resp, err := http.Get("http://" + ds2.Addr + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err := json.Unmarshal(body, &vars); err != nil {
-		t.Fatal(err)
-	}
-	if got := vars.Iterskew["counter.rounds"]; got != float64(99) {
-		t.Fatalf("expvar after re-point = %v, want 99", got)
+	if got := samples["iterskew_rounds_total"]; got != 11 {
+		t.Fatalf("iterskew_rounds_total = %v, want 11", got)
 	}
 }

@@ -43,7 +43,7 @@ const (
 	CtrTimerDirtyFFs                   // dirty flip-flops drained by Update
 	CtrTimerDirtyCells                 // dirty cells drained by Update
 	CtrTimerLevels                     // non-empty level buckets swept
-	CtrTimerFullUpdates                // FullUpdate / FullUpdateParallel calls
+	CtrTimerFullUpdates                // FullUpdate calls
 
 	// Batch sequential-edge extraction.
 	CtrExtractBatches // batch extraction calls
@@ -101,7 +101,8 @@ var counterNames = [numCounters]string{
 	CtrServeStreams:     "serve_streams",
 }
 
-// String returns the counter's snake_case name (also its expvar key).
+// String returns the counter's snake_case name (also the stem of its
+// Prometheus family, iterskew_<name>_total).
 func (c Counter) String() string { return counterNames[c] }
 
 // Gauge enumerates the last-value metrics.
@@ -331,36 +332,4 @@ func mallocCount() uint64 {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return ms.Mallocs
-}
-
-// Snapshot returns all live metrics as one flat map, suitable for expvar
-// publication: counters and gauges by name, plus per-span-kind duration
-// summaries and the coarse-phase breakdown.
-func (r *Recorder) Snapshot() map[string]any {
-	if r == nil {
-		return nil
-	}
-	out := map[string]any{}
-	for c := Counter(0); c < numCounters; c++ {
-		out["counter."+counterNames[c]] = r.Counter(c)
-	}
-	for g := Gauge(0); g < numGauges; g++ {
-		out["gauge."+gaugeNames[g]] = r.Gauge(g)
-	}
-	for k := SpanKind(0); k < numSpanKinds; k++ {
-		s := r.hists[k].Snapshot()
-		if s.Count == 0 {
-			continue
-		}
-		out["span."+spanNames[k]] = map[string]any{
-			"count":  s.Count,
-			"sum_ms": float64(s.SumNs) / 1e6,
-			"avg_us": s.AvgUs(),
-			"p99_us": s.QuantileUs(0.99),
-		}
-	}
-	if ph := r.Phases(); len(ph) > 0 {
-		out["phases"] = ph
-	}
-	return out
 }

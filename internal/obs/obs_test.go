@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"io"
 	"strings"
 	"sync"
@@ -36,9 +37,6 @@ func TestNilRecorderNoOps(t *testing.T) {
 	r.PhaseSpan("p")()
 	if ph := r.Phases(); ph != nil {
 		t.Fatalf("nil Phases = %v, want nil", ph)
-	}
-	if s := r.Snapshot(); s != nil {
-		t.Fatalf("nil Snapshot = %v, want nil", s)
 	}
 	if err := r.WriteTrace(io.Discard); err == nil {
 		t.Fatal("nil WriteTrace should error")
@@ -174,35 +172,46 @@ func TestPhaseSpan(t *testing.T) {
 	}
 }
 
-// TestSnapshot checks the expvar-facing flat map.
+// TestSnapshot checks the recorder's flat metric view, which the debug server
+// publishes as the Prometheus exposition: counters, gauges, non-empty span
+// summaries and the compiled-graph cache metrics.
 func TestSnapshot(t *testing.T) {
 	r := NewRecorder()
 	r.Add(CtrRounds, 3)
 	r.SetGauge(GaugeWorkers, 2)
 	r.StartSpan(SpanTimerUpdate).End()
-	s := r.Snapshot()
-	if got := s["counter.rounds"]; got != int64(3) {
-		t.Fatalf("counter.rounds = %v, want 3", got)
+	snapshot := func() map[string]float64 {
+		var buf bytes.Buffer
+		if err := r.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		s, err := ParseExposition(buf.Bytes())
+		if err != nil {
+			t.Fatalf("exposition fails to parse: %v\n%s", err, buf.String())
+		}
+		return s
 	}
-	if got := s["gauge.workers"]; got != int64(2) {
-		t.Fatalf("gauge.workers = %v, want 2", got)
+	s := snapshot()
+	if got := s["iterskew_rounds_total"]; got != 3 {
+		t.Fatalf("rounds_total = %v, want 3", got)
 	}
-	if _, ok := s["span.timer.update"]; !ok {
-		t.Fatal("snapshot missing span.timer.update summary")
+	if got := s["iterskew_workers"]; got != 2 {
+		t.Fatalf("workers = %v, want 2", got)
 	}
-	if _, ok := s["span.css.round"]; ok {
+	if _, ok := s[`iterskew_span_duration_seconds_count{kind="timer.update"}`]; !ok {
+		t.Fatal("snapshot missing timer.update span summary")
+	}
+	if _, ok := s[`iterskew_span_duration_seconds_count{kind="css.round"}`]; ok {
 		t.Fatal("snapshot should omit empty span summaries")
 	}
-	// The compiled-graph cache metrics must reach the expvar map: the debug
-	// server publishes exactly this snapshot.
 	r.Add(CtrGraphCacheHits, 1)
 	r.SetGauge(GaugeCacheBytes, 4096)
-	s = r.Snapshot()
-	if got := s["counter.graph_cache_hits"]; got != int64(1) {
-		t.Fatalf("counter.graph_cache_hits = %v, want 1", got)
+	s = snapshot()
+	if got := s["iterskew_graph_cache_hits_total"]; got != 1 {
+		t.Fatalf("graph_cache_hits_total = %v, want 1", got)
 	}
-	if got := s["gauge.cache_bytes"]; got != int64(4096) {
-		t.Fatalf("gauge.cache_bytes = %v, want 4096", got)
+	if got := s["iterskew_cache_bytes"]; got != 4096 {
+		t.Fatalf("cache_bytes = %v, want 4096", got)
 	}
 }
 

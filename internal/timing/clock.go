@@ -8,10 +8,9 @@ import (
 
 // The physical clock network is root → CTS-balanced LCB inputs → LCB arcs →
 // FF clock sinks. It is never derated, so base latencies are corner-
-// invariant. refreshClock is its one evaluator: Update, FullUpdate,
-// FullUpdateParallel and Recompile all call it, differing only in what they
-// ask for (the nets an edit touched, or the whole network) and the change
-// policy.
+// invariant. refreshClock is its one evaluator: Update, FullUpdate and
+// Recompile all call it, differing only in what they ask for (the nets an
+// edit touched, or the whole network) and the change policy.
 
 // clockPolicy decides when refreshClock counts a flip-flop's base latency as
 // changed (and marks the flip-flop dirty).

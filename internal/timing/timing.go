@@ -585,7 +585,7 @@ func (t *Timer) seedBwd(p netlist.PinID) {
 }
 
 // parallelBucketMin is the minimum level-bucket size worth fanning out to
-// the worker pool (matches FullUpdateParallel's threshold).
+// the worker pool.
 const parallelBucketMin = 64
 
 // changedScratch returns the reusable per-bucket changed-flag scratch,
@@ -799,10 +799,10 @@ func (t *Timer) ViolatedEndpoints(m Mode, dst []EndpointID) []EndpointID {
 // period); between queries those move only inside Update, whose drains
 // visit every endpoint pin whose arrival or required time it recomputes —
 // so refreshing the visited endpoints keeps the cache exact. Everything
-// else that moves them marks it invalid for a lazy rebuild: FullUpdate and
-// FullUpdateParallel, restoreSnapshot (NewState, Reset), SetPeriod,
-// SetDerates, Graph.Recompile (via the graph epoch), and an Update aborted
-// by the SetCheck hook, which leaves seeds queued.
+// else that moves them marks it invalid for a lazy rebuild: FullUpdate,
+// restoreSnapshot (NewState, Reset), SetPeriod, SetDerates,
+// Graph.Recompile (via the graph epoch), and an Update aborted by the
+// SetCheck hook, which leaves seeds queued.
 
 // slacks returns every endpoint's slack in mode m, in endpoint order: the
 // cache (rebuilt first if invalid), or — while an edit is queued, when only

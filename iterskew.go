@@ -144,8 +144,8 @@ type (
 	// PhaseStat is one row of a Recorder's per-phase wall-time/allocation
 	// accounting.
 	PhaseStat = obs.PhaseStat
-	// DebugServer serves live pprof, expvar, and Prometheus /metrics
-	// endpoints for a Recorder.
+	// DebugServer serves live pprof and Prometheus /metrics endpoints for a
+	// Recorder.
 	DebugServer = obs.DebugServer
 	// LabeledCtr is a labeled Prometheus counter vector on a Recorder.
 	LabeledCtr = obs.LabeledCtr
@@ -341,8 +341,9 @@ func RunFlow(d *Design, cfg FlowConfig) (*FlowReport, error) { return flow.Run(d
 // call EnableTrace/EnableEvents on it for Chrome-trace and JSONL output.
 func NewRecorder() *Recorder { return obs.NewRecorder() }
 
-// StartDebugServer serves net/http/pprof and expvar (backed by the given
-// recorder, which may be nil) on addr; use DebugServer.Close to stop it.
+// StartDebugServer serves net/http/pprof and Prometheus /metrics (backed by
+// the given recorder, which may be nil) on addr; use DebugServer.Close to
+// stop it.
 func StartDebugServer(addr string, r *Recorder) (*DebugServer, error) {
 	return obs.StartDebugServer(addr, r)
 }
